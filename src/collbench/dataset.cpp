@@ -38,17 +38,13 @@ void Dataset::add(const Record& rec) {
 
 void Dataset::add_unchecked(const Record& rec) {
   records_.push_back(rec);
+  const auto at = std::lower_bound(uids_.begin(), uids_.end(), rec.uid);
+  if (at == uids_.end() || *at != rec.uid) uids_.insert(at, rec.uid);
   samples_[key(rec.uid, {rec.nodes, rec.ppn, rec.msize})].push_back(
       rec.time_us);
   MedianCache& cache = *median_cache_;
   const support::MutexLock lock(cache.mu);
   cache.values.clear();
-}
-
-std::vector<int> Dataset::uids() const {
-  std::set<int> s;
-  for (const Record& r : records_) s.insert(r.uid);
-  return {s.begin(), s.end()};
 }
 
 std::vector<int> Dataset::node_counts() const {
@@ -97,7 +93,7 @@ double Dataset::time_us(int uid, const Instance& inst) const {
 
 Dataset::Best Dataset::best(const Instance& inst) const {
   Best best;
-  for (const int uid : uids()) {
+  for (const int uid : uids_) {
     if (!has(uid, inst)) continue;
     const double t = time_us(uid, inst);
     if (best.uid == 0 || t < best.time_us) best = {uid, t};
@@ -130,6 +126,7 @@ Dataset Dataset::load_csv(const std::filesystem::path& path,
                           sim::Collective coll, std::string machine) {
   const support::CsvTable table = support::read_csv(path);
   Dataset ds(std::move(name), lib, coll, std::move(machine));
+  ds.reserve(table.num_rows());
   const std::size_t c_uid = table.column("uid");
   const std::size_t c_nodes = table.column("nodes");
   const std::size_t c_ppn = table.column("ppn");
@@ -182,6 +179,7 @@ Dataset Dataset::load_csv_tolerant(const std::filesystem::path& path,
   const support::CsvReadResult read = support::read_csv_lenient(path);
   const support::CsvTable& table = read.table;
   Dataset ds(std::move(name), lib, coll, std::move(machine));
+  ds.reserve(table.num_rows());
   IngestReport local;
   // Structurally bad rows never reached the table; account for them
   // first so rows_seen covers every data line in the file.

@@ -95,11 +95,16 @@ class Dataset {
   /// real measurements — add() is the validated path.
   void add_unchecked(const Record& rec);
 
+  /// Reserve room for `records` more records.
+  void reserve(std::size_t records) {
+    records_.reserve(records_.size() + records);
+  }
+
   std::size_t num_records() const { return records_.size(); }
   const std::vector<Record>& records() const { return records_; }
 
   /// All uids / node counts / ppns / message sizes present (sorted).
-  std::vector<int> uids() const;
+  std::vector<int> uids() const { return uids_; }
   std::vector<int> node_counts() const;
   std::vector<int> ppns() const;
   std::vector<std::uint64_t> msizes() const;
@@ -110,7 +115,7 @@ class Dataset {
   double time_us(int uid, const Instance& inst) const;
 
   /// Empirically best configuration for an instance (argmin of median
-  /// time over all uids measured there).
+  /// time over all uids measured there; ties go to the lowest uid).
   struct Best {
     int uid = 0;
     double time_us = 0.0;
@@ -147,6 +152,7 @@ class Dataset {
   sim::Collective coll_;
   std::string machine_;
   std::vector<Record> records_;
+  std::vector<int> uids_;  // sorted, distinct: kept by add_unchecked
   std::unordered_map<std::uint64_t, std::vector<double>> samples_;
   // Lazily cached medians — the only mutable state behind the const
   // query API, so it carries its own lock: time_us()/best() are called

@@ -17,9 +17,13 @@
 namespace mpicp::bench {
 
 /// Progress callback: (configurations done, configurations total).
+/// Called on the thread that called generate_dataset only, with a `done`
+/// that never decreases; the last call is (total, total).
 using ProgressFn = std::function<void(std::size_t, std::size_t)>;
 
-/// Generate the dataset from scratch (deterministic in spec.seed).
+/// Generate the dataset from scratch (deterministic in spec.seed). The
+/// DES runs fan out over support::parallel_for (MPICP_THREADS); the
+/// dataset is identical at every thread count.
 Dataset generate_dataset(const DatasetSpec& spec,
                          const ProgressFn& progress = nullptr);
 

@@ -19,7 +19,9 @@ RunnerResult run_benchmark(sim::Network& net, sim::MpiLib lib,
       lib, coll, cfg, comm, msize, /*root=*/0, /*tracking=*/false);
   sim::Executor exec(net);
   RunnerResult result;
-  result.des_time_us = exec.run(built.programs).makespan_us;
+  const sim::ExecResult run = exec.run(built.programs);
+  result.des_time_us = run.makespan_us;
+  result.num_messages = run.num_messages;
   result.true_time_us = noise.true_time_us(
       result.des_time_us, static_cast<std::uint64_t>(coll), cfg.uid,
       net.num_nodes(), net.ppn(), msize);

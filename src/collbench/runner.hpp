@@ -26,6 +26,7 @@ struct RunnerBudget {
 struct RunnerResult {
   double des_time_us = 0.0;   ///< deterministic simulated time
   double true_time_us = 0.0;  ///< with the systematic machine factor
+  std::uint64_t num_messages = 0;  ///< point-to-point messages simulated
   std::vector<double> observations_us;
 };
 

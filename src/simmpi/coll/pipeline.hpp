@@ -75,6 +75,14 @@ void emit_tree_bcast(ProgramSet& progs, const VrankMap& map,
                      const Tree& tree, const Segmentation& seg,
                      std::uint16_t tag, std::uint32_t block_base = 0);
 
+/// The part of emit_tree_bcast that vrank `v` runs: receive every
+/// segment from the parent (none at the root) with two receives in
+/// flight, and forward each segment to the children as it completes.
+void emit_pipeline_bcast_rank(ProgramSet& progs, const VrankMap& map,
+                              const Tree& tree, int v,
+                              const Segmentation& seg, std::uint16_t tag,
+                              std::uint32_t block_base);
+
 /// Segmented pipelined reduction up `tree` toward vrank 0. Receives from
 /// children carry the kCombine flag and are followed by reduction
 /// compute; partial results are forwarded to the parent per segment.
@@ -113,6 +121,22 @@ void emit_ring_reduce_scatter(ProgramSet& progs, const VrankMap& map,
 void emit_recdbl_allgather(ProgramSet& progs, const VrankMap& map,
                            const std::vector<std::uint32_t>& chunk_bytes,
                            std::uint16_t tag, std::uint32_t block_base = 0);
+
+/// Emit step(s) for every segment s in [0, nseg). The first `regular`
+/// steps must emit ops that differ only in their block offsets, each
+/// advancing by one per step; they are stored once, as a repeat loop
+/// (RankProg::repeat), so a pipeline's program stays small at any
+/// segment count.
+template <class Step>
+void emit_segment_steps(RankProg& prog, std::uint32_t regular,
+                        std::uint32_t nseg, const Step& step) {
+  std::uint32_t s = 0;
+  if (regular > 1) {
+    prog.repeat(regular, [&] { step(0); });
+    s = regular;
+  }
+  for (; s < nseg; ++s) step(s);
+}
 
 /// Even chunking of `total` bytes into `nchunks` chunks (first chunks one
 /// byte larger when it does not divide evenly).

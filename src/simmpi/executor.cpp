@@ -16,6 +16,12 @@ namespace mpicp::sim {
 
 namespace {
 
+// Records and unexpected messages pile up by the ten thousand when a
+// pipeline's sender runs ahead of its receiver, so both stay small
+// plain values; data-tracking payloads live in side vectors indexed
+// like their pools (Engine::rec_payload_, Engine::msg_payload_), which
+// fast runs never grow.
+
 /// Record of a pending nonblocking or rendezvous operation.
 struct Rec {
   double post_us = 0.0;
@@ -27,21 +33,17 @@ struct Rec {
   std::uint32_t block_begin = 0;
   std::uint32_t block_count = 0;
   std::uint8_t flags = kNone;
-  bool is_send = false;
-  std::vector<Block> payload;  // tracking: snapshot for rendezvous sends
 
   bool complete() const { return complete_us >= 0.0; }
 };
 
 /// A send announced at a receiver before the matching receive was posted.
 struct UnexpectedMsg {
-  std::int32_t src = -1;
   double arrival_us = 0.0;     // eager only: wire arrival time
   std::int32_t send_rec = -1;  // rendezvous only: the sender's record
-  std::uint32_t bytes = 0;
   std::int32_t next = -1;      // intrusive FIFO link
-  std::vector<Block> payload;  // tracking: eager payload snapshot
 };
+static_assert(sizeof(UnexpectedMsg) == 16, "UnexpectedMsg must stay small");
 
 /// Intrusive FIFO of pool indices. Kept as a plain 8-byte value inside
 /// the match maps so matching does no per-message node allocation.
@@ -59,10 +61,18 @@ struct MatchQueues {
 
 struct RankState {
   std::size_t pc = 0;
+  // Cursor of the kRepeat loop being replayed (loop_count == 0: none):
+  // body ops [loop_begin, loop_end), iteration loop_iter of loop_count.
+  std::size_t loop_begin = 0;
+  std::size_t loop_end = 0;
+  std::uint32_t loop_iter = 0;
+  std::uint32_t loop_count = 0;
   double time = 0.0;
   // Outstanding nonblocking requests. Slots consumed early by kWaitOne
-  // are tombstoned (-1); kWaitAll sweeps and clears the list.
+  // are tombstoned (-1) and compacted away once they are the majority;
+  // kWaitAll sweeps and clears the list.
   std::vector<std::int32_t> outstanding;
+  std::size_t tombstones = 0;
   // Outstanding receives in posting order, for kWaitOne.
   std::deque<std::int32_t> recv_order;
   int pending = 0;             // outstanding requests not yet complete
@@ -118,10 +128,14 @@ class Engine {
       return idx;
     }
     recs_.emplace_back();
+    if (store_ != nullptr) rec_payload_.emplace_back();
     return static_cast<std::int32_t>(recs_.size() - 1);
   }
 
-  void free_rec(std::int32_t idx) { free_recs_.push_back(idx); }
+  void free_rec(std::int32_t idx) {
+    if (store_ != nullptr) rec_payload_[idx] = {};
+    free_recs_.push_back(idx);
+  }
 
   // ---- match FIFO plumbing -------------------------------------------
   std::int32_t alloc_unexpected() {
@@ -131,10 +145,12 @@ class Engine {
       return idx;
     }
     upool_.emplace_back();
+    if (store_ != nullptr) msg_payload_.emplace_back();
     return static_cast<std::int32_t>(upool_.size() - 1);
   }
 
   void free_unexpected(std::int32_t idx) {
+    if (store_ != nullptr) msg_payload_[idx] = {};
     upool_[idx] = UnexpectedMsg{};
     ufree_.push_back(idx);
   }
@@ -196,8 +212,25 @@ class Engine {
       if (idx >= 0) free_rec(idx);  // skip kWaitOne tombstones
     }
     st.outstanding.clear();
+    st.tombstones = 0;
     st.recv_order.clear();
     st.outstanding_max = 0.0;
+  }
+
+  /// Tombstone the slot of a request kWaitOne consumed. A pipeline posts
+  /// thousands of receives before its final waitall, so once tombstones
+  /// are the majority the live requests are packed to the front.
+  void drop_outstanding(RankState& st, std::int32_t slot) {
+    st.outstanding[slot] = -1;
+    if (++st.tombstones * 2 <= st.outstanding.size()) return;
+    std::size_t live = 0;
+    for (const std::int32_t idx : st.outstanding) {
+      if (idx < 0) continue;
+      recs_[idx].slot = static_cast<std::int32_t>(live);
+      st.outstanding[live++] = idx;
+    }
+    st.outstanding.resize(live);
+    st.tombstones = 0;
   }
 
   void wake(int r, double at) {
@@ -213,7 +246,7 @@ class Engine {
                          st.recv_order.front() == st.blocked_rec,
                      "waitone target is not the oldest receive");
         st.recv_order.pop_front();
-        st.outstanding[rec.slot] = -1;
+        drop_outstanding(st, rec.slot);
       }
       free_rec(st.blocked_rec);
       st.blocked_rec = -1;
@@ -246,6 +279,19 @@ class Engine {
   std::vector<Block> snapshot(int rank, const Op& op) const {
     if (store_ == nullptr || op.block_count == 0) return {};
     return store_->snapshot(rank, op.block_begin, op.block_count);
+  }
+
+  /// Keep a send's snapshot in the side vector slot `idx` until its
+  /// receive matches (tracking runs only).
+  void keep_payload(std::vector<std::vector<Block>>& side, std::int32_t idx,
+                    int rank, const Op& op) {
+    if (store_ != nullptr) side[idx] = snapshot(rank, op);
+  }
+
+  const std::vector<Block>& kept(
+      const std::vector<std::vector<Block>>& side, std::int32_t idx) const {
+    static const std::vector<Block> kNothing;
+    return store_ != nullptr ? side[idx] : kNothing;
   }
 
   void apply_payload(int rank, std::uint32_t block_begin,
@@ -286,6 +332,36 @@ class Engine {
   /// schedule causally-earlier transfers.
   static constexpr double kHorizonUs = 0.5;
 
+  /// The rank's next op in expanded order, advancing its cursor: enters
+  /// a kRepeat loop at its header, offsets the blocks of loop body ops
+  /// by the iteration index, and wraps at the end of the body.
+  static Op next_op(RankState& st, const std::vector<Op>& prog) {
+    if (prog[st.pc].kind == OpKind::kRepeat) {
+      const Op& rep = prog[st.pc];
+      MPICP_ASSERT(st.loop_count == 0, "nested repeat loop");
+      MPICP_ASSERT(rep.bytes >= 1 && rep.block_count >= 1 &&
+                       st.pc + 1 + rep.block_count <= prog.size(),
+                   "malformed repeat loop");
+      st.loop_begin = st.pc + 1;
+      st.loop_end = st.loop_begin + rep.block_count;
+      st.loop_iter = 0;
+      st.loop_count = rep.bytes;
+      st.pc = st.loop_begin;
+    }
+    Op op = prog[st.pc++];
+    if (st.loop_count > 0) {
+      if (op.block_count > 0) op.block_begin += st.loop_iter;
+      if (st.pc == st.loop_end) {
+        if (++st.loop_iter < st.loop_count) {
+          st.pc = st.loop_begin;
+        } else {
+          st.loop_count = 0;
+        }
+      }
+    }
+    return op;
+  }
+
   void advance(int r, double deadline) {
     RankState& st = ranks_[r];
     const std::vector<Op>& prog = programs_[r];
@@ -294,8 +370,7 @@ class Engine {
         heap_.emplace(st.time, r);  // yield; resume at local time
         return;
       }
-      const Op& op = prog[st.pc];
-      ++st.pc;
+      const Op op = next_op(st, prog);
       switch (op.kind) {
         case OpKind::kSend:
         case OpKind::kISend:
@@ -325,6 +400,8 @@ class Engine {
           }
           break;
         }
+        case OpKind::kRepeat:
+          MPICP_RAISE_INTERNAL("repeat header executed as an op");
       }
     }
     if (st.pc >= prog.size() && !st.blocked()) {
@@ -364,10 +441,8 @@ class Engine {
       } else {
         const std::int32_t uidx = alloc_unexpected();
         UnexpectedMsg& msg = upool_[uidx];
-        msg.src = r;
         msg.arrival_us = t.arrival_us;
-        msg.bytes = op.bytes;
-        msg.payload = snapshot(r, op);
+        keep_payload(msg_payload_, uidx, r, op);
         push_unexpected(mq.unexpected[key], uidx);
       }
       return;  // eager sends complete locally; nothing to wait for
@@ -379,8 +454,7 @@ class Engine {
     srec.owner = r;
     srec.post_us = st.time;
     srec.bytes = op.bytes;
-    srec.is_send = true;
-    srec.payload = snapshot(r, op);
+    keep_payload(rec_payload_, send_rec, r, op);
 
     auto rq = mq.recvs.find(key);
     if (rq != mq.recvs.end() && !rq->second.empty()) {
@@ -390,7 +464,7 @@ class Engine {
           resolve_rendezvous(send_rec, op.peer, rrec.post_us);
       rrec.complete_us = recv_complete;
       apply_payload(op.peer, rrec.block_begin, rrec.block_count, rrec.flags,
-                    recs_[send_rec].payload);
+                    kept(rec_payload_, send_rec));
       notify(recv_rec);
       if (blocking) {
         st.time = std::max(st.time, recs_[send_rec].complete_us);
@@ -404,9 +478,7 @@ class Engine {
     // No receive posted yet: announce (RTS) and wait for the match.
     const std::int32_t uidx = alloc_unexpected();
     UnexpectedMsg& msg = upool_[uidx];
-    msg.src = r;
     msg.send_rec = send_rec;
-    msg.bytes = op.bytes;
     push_unexpected(mq.unexpected[key], uidx);
     if (blocking) {
       st.blocked_rec = send_rec;
@@ -431,11 +503,11 @@ class Engine {
         // Eager: data is already in flight (or buffered at the receiver).
         complete_us = std::max(st.time, msg.arrival_us) + lk.overhead_us;
         apply_payload(r, op.block_begin, op.block_count, op.flags,
-                      msg.payload);
+                      kept(msg_payload_, uidx));
       } else {
         complete_us = resolve_rendezvous(msg.send_rec, r, st.time);
         apply_payload(r, op.block_begin, op.block_count, op.flags,
-                      recs_[msg.send_rec].payload);
+                      kept(rec_payload_, msg.send_rec));
       }
       free_unexpected(uidx);
       if (blocking) {
@@ -488,7 +560,7 @@ class Engine {
     if (rec.complete()) {
       st.time = std::max(st.time, rec.complete_us);
       st.recv_order.pop_front();
-      st.outstanding[rec.slot] = -1;
+      drop_outstanding(st, rec.slot);
       free_rec(idx);
     } else {
       st.blocked_rec = idx;  // wake() drops it from the bookkeeping
@@ -520,6 +592,9 @@ class Engine {
   std::vector<std::int32_t> free_recs_;
   std::vector<UnexpectedMsg> upool_;
   std::vector<std::int32_t> ufree_;
+  // Tracking runs only: send snapshots, parallel to recs_ and upool_.
+  std::vector<std::vector<Block>> rec_payload_;
+  std::vector<std::vector<Block>> msg_payload_;
   std::uint64_t num_messages_ = 0;
 
   using HeapEntry = std::pair<double, int>;

@@ -10,7 +10,9 @@
 // Programs are *data-independent*: the communication pattern of the MPI
 // collectives we model depends only on (rank, p, message size,
 // parameters), never on buffer contents, so a static per-rank op list is
-// a faithful representation.
+// a faithful representation. Segmented pipelines repeat one per-segment
+// body thousands of times; a kRepeat op stores that body once and the
+// executor replays it (see RankProg::repeat).
 #pragma once
 
 #include <cstdint>
@@ -29,6 +31,10 @@ enum class OpKind : std::uint8_t {
   kWaitOne,  ///< wait for the oldest outstanding nonblocking *receive*
   kCompute,  ///< local computation (reduction arithmetic)
   kCopy,     ///< local buffer copy/pack (memcpy through the memory system)
+  /// Loop header, not itself executed: run the next `block_count` ops
+  /// `bytes` times; in iteration i every op that tracks blocks
+  /// (block_count > 0) has i added to its block_begin. Loops do not nest.
+  kRepeat,
 };
 
 /// Flags on receive operations controlling data tracking semantics.
@@ -40,7 +46,7 @@ enum OpFlags : std::uint8_t {
 };
 
 /// One operation of a rank program. Kept small on purpose: large runs
-/// materialize tens of millions of ops.
+/// hold millions of ops.
 struct Op {
   OpKind kind = OpKind::kCompute;
   std::uint8_t flags = kNone;
@@ -106,6 +112,27 @@ class RankProg {
     op.block_begin = src_block;
     op.block_count = count;
     ops_.push_back(op);
+  }
+  /// Emit the ops `body()` emits as a loop run `count` times, iteration
+  /// i seeing every block-tracking op with block_begin advanced by i
+  /// (kRepeat). The executor replays exactly the op stream that
+  /// emitting the iterations one by one would produce. An empty body
+  /// emits nothing.
+  template <class Body>
+  void repeat(std::uint32_t count, const Body& body) {
+    MPICP_ASSERT(count >= 1, "repeat count must be positive");
+    const std::size_t header = ops_.size();
+    Op op;
+    op.kind = OpKind::kRepeat;
+    op.bytes = count;
+    ops_.push_back(op);
+    body();
+    const std::size_t len = ops_.size() - header - 1;
+    if (len == 0) {
+      ops_.pop_back();
+      return;
+    }
+    ops_[header].block_count = static_cast<std::uint32_t>(len);
   }
 
  private:

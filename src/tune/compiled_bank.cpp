@@ -237,10 +237,12 @@ void CompiledBank::select_grid_into(std::span<const bench::Instance> grid,
   metrics::counter("compiled.select.grid_instances").inc(grid.size());
   if (cache_enabled_) {
     // The memo is the faster tier for repeated cells; serve through it
-    // per instance rather than re-scoring whole batches.
-    support::parallel_for(grid.size(), 8, [&](std::size_t i) {
+    // per instance rather than re-scoring whole batches. In grid order
+    // on this thread: concurrent lookups of a repeated cell would all
+    // miss before the first answer is stored.
+    for (std::size_t i = 0; i < grid.size(); ++i) {
       out[i] = argmin_uid_cached(grid[i]);
-    });
+    }
   } else {
     constexpr std::size_t kBatch = ml::FlatBank::kTreeBatch;
     const std::size_t batches = (grid.size() + kBatch - 1) / kBatch;

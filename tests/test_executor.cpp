@@ -228,5 +228,68 @@ TEST(Executor, ManyInFlightMessagesRecycleRecords) {
   EXPECT_EQ(res.num_messages, static_cast<std::uint64_t>(n));
 }
 
+// A repeat loop must replay exactly the op stream of its iterations
+// written out one by one, block offsets included: same finish times,
+// same message count, same data movement.
+TEST(Executor, RepeatLoopReplaysItsExpansion) {
+  constexpr std::uint32_t kIters = 6;
+  const auto build = [](bool looped) {
+    ProgramSet progs = make_progs(2);
+    RankProg p0(progs[0], 0, 2);
+    RankProg p1(progs[1], 1, 2);
+    p0.send(1, 1, 4096, 0, 1);  // rendezvous, outside the loop
+    p1.recv(0, 1, 4096, 0, 1);
+    const auto send_step = [&](std::uint32_t i) {
+      p0.isend(1, 2, 512, 1 + i, 1);
+      p0.compute(64);
+    };
+    const auto recv_step = [&](std::uint32_t i) {
+      p1.irecv(0, 2, 512, 1 + i, 1, kCombine);
+      p1.waitone();
+    };
+    if (looped) {
+      p0.repeat(kIters, [&] { send_step(0); });
+      p1.repeat(kIters, [&] { recv_step(0); });
+    } else {
+      for (std::uint32_t i = 0; i < kIters; ++i) send_step(i);
+      for (std::uint32_t i = 0; i < kIters; ++i) recv_step(i);
+    }
+    p0.waitall();
+    p0.send(1, 3, 8);  // after the loop
+    p1.recv(0, 3, 8);
+    return progs;
+  };
+  const ProgramSet looped = build(true);
+  const ProgramSet flat = build(false);
+  EXPECT_LT(looped[0].size(), flat[0].size());
+
+  const auto run = [](const ProgramSet& progs, DataStore& store) {
+    Network net(test_machine(), 2, 1);
+    Executor exec(net);
+    for (std::uint32_t b = 0; b <= kIters; ++b) {
+      store.at(0, b) = contribution_of(0);
+      store.at(1, b) = contribution_of(1);
+    }
+    return exec.run(progs, &store);
+  };
+  DataStore looped_store(2, kIters + 1);
+  DataStore flat_store(2, kIters + 1);
+  const ExecResult a = run(looped, looped_store);
+  const ExecResult b = run(flat, flat_store);
+  EXPECT_EQ(a.finish_us, b.finish_us);
+  EXPECT_EQ(a.num_messages, b.num_messages);
+  EXPECT_TRUE(is_exactly_contribution(looped_store.at(1, 0), 0));
+  for (std::uint32_t blk = 1; blk <= kIters; ++blk) {
+    EXPECT_EQ(looped_store.at(1, blk), flat_store.at(1, blk)) << blk;
+    EXPECT_TRUE(has_all_contributions(looped_store.at(1, blk), 2)) << blk;
+  }
+}
+
+TEST(Executor, EmptyRepeatBodyEmitsNothing) {
+  ProgramSet progs = make_progs(1);
+  RankProg(progs[0], 0, 1).repeat(5, [] {});
+  EXPECT_TRUE(progs[0].empty());
+}
+
 }  // namespace
 }  // namespace mpicp::sim

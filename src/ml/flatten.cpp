@@ -98,213 +98,220 @@ int FlatBank::add(const Regressor& model) {
   }
   models_.push_back(m);
   // The canonical pools are append-only, so global node indices never
-  // move — but the blocked prefixes are derived per model, so rebuild
-  // them whole (add() is a cold path; serving never lowers).
-  build_blocked();
+  // move and the derived forms of earlier models stay valid: lower only
+  // the new model's.
+  lower_derived(models_.size() - 1);
   return idx;
 }
 
-void FlatBank::build_blocked() {
-  blk_tree_levels_.assign(tree_roots_.size(), 0);
-  blk_spill_.assign(tree_roots_.size(), 0);
-  blk_base_.assign(tree_roots_.size(), 0);
-  blk_exit_base_.assign(tree_roots_.size(), 0);
-  blk_thr_.clear();
-  blk_feat_.clear();
-  blk_exit_.clear();
-  blk_leaf_.clear();
+void FlatBank::lower_derived(std::size_t mi) {
+  rank_tables_.resize(mi + 1);
+  const FlatModel& m = models_[mi];
+  if (m.kind != FlatKind::kTreeEnsemble) return;
+  lower_blocked(m);
+  lower_rank_table(m, rank_tables_[mi]);
+}
+
+void FlatBank::lower_blocked(const FlatModel& m) {
+  // Per-tree arrays cover every tree so far; this model's trees are
+  // the pool's last ones (lower_trees appends).
+  blk_tree_levels_.resize(tree_roots_.size(), 0);
+  blk_spill_.resize(tree_roots_.size(), 0);
+  blk_base_.resize(tree_roots_.size(), 0);
+  blk_exit_base_.resize(tree_roots_.size(), 0);
   // (node, depth) DFS stack and the slot→node assignment of one block,
-  // hoisted out of the per-tree loops.
+  // hoisted out of the per-tree loop.
   std::vector<std::pair<std::int32_t, int>> stack;
   stack.reserve(64);
   std::vector<std::int32_t> assign;
-  for (std::size_t mi = 0; mi < models_.size(); ++mi) {
-    const FlatModel& m = models_[mi];
-    if (m.kind != FlatKind::kTreeEnsemble) continue;
-    for (int t = m.tree_begin; t < m.tree_end; ++t) {
-      // Blocked levels for this tree: its own deepest comparison
-      // level, capped — shallow trees never walk padding levels.
-      int levels = 0;
-      stack.clear();
-      stack.push_back({tree_roots_[t], 0});
-      while (!stack.empty()) {
-        const auto [n, d] = stack.back();
-        stack.pop_back();
-        if (nodes_[n].feature < 0) continue;
-        levels = std::max(levels, d + 1);
-        if (levels >= block_depth_cap_) {
-          levels = block_depth_cap_;
-          break;
-        }
-        stack.push_back({nodes_[n].left, d + 1});
-        stack.push_back({nodes_[n].right, d + 1});
+  for (int t = m.tree_begin; t < m.tree_end; ++t) {
+    // Blocked levels for this tree: its own deepest comparison
+    // level, capped — shallow trees never walk padding levels.
+    int levels = 0;
+    stack.clear();
+    stack.push_back({tree_roots_[t], 0});
+    while (!stack.empty()) {
+      const auto [n, d] = stack.back();
+      stack.pop_back();
+      if (nodes_[n].feature < 0) continue;
+      levels = std::max(levels, d + 1);
+      if (levels >= block_depth_cap_) {
+        levels = block_depth_cap_;
+        break;
       }
-      blk_tree_levels_[t] = levels;
-      const std::size_t inner = (std::size_t{1} << levels) - 1;
-      const std::size_t exits = std::size_t{1} << levels;
-      assign.assign(inner + exits, -1);
-      blk_base_[t] = static_cast<std::int32_t>(blk_thr_.size());
-      blk_exit_base_[t] = static_cast<std::int32_t>(blk_exit_.size());
-      blk_thr_.resize(blk_thr_.size() + inner);
-      blk_feat_.resize(blk_feat_.size() + inner);
-      blk_exit_.resize(blk_exit_.size() + exits);
-      blk_leaf_.resize(blk_leaf_.size() + exits);
-      double* thr = blk_thr_.data() + blk_base_[t];
-      std::int32_t* ft = blk_feat_.data() + blk_base_[t];
-      std::int32_t* ex = blk_exit_.data() + blk_exit_base_[t];
-      double* leaf = blk_leaf_.data() + blk_exit_base_[t];
-      assign[0] = tree_roots_[t];
-      for (std::size_t s = 0; s < inner; ++s) {
-        const std::int32_t n = assign[s];
-        const FlatTreeNode& node = nodes_[n];
-        if (node.feature >= 0) {
-          ft[s] = node.feature;
-          thr[s] = node.threshold;
-          assign[2 * s + 1] = node.left;
-          assign[2 * s + 2] = node.right;
-        } else {
-          // Pass-through slot for a leaf shallower than the block: both
-          // children route to the same leaf, so the predicated step can
-          // take either branch (even on a NaN feature) and still land
-          // on the node the legacy walk stops at.
-          ft[s] = 0;
-          thr[s] = std::numeric_limits<double>::infinity();
-          assign[2 * s + 1] = n;
-          assign[2 * s + 2] = n;
-        }
-      }
-      bool spill = false;
-      for (std::size_t e = 0; e < exits; ++e) {
-        ex[e] = assign[inner + e];
-        const FlatTreeNode& node = nodes_[ex[e]];
-        // Spill-free exits carry the leaf value inline, so the hot
-        // walk finishes with one load instead of a node-pool visit.
-        leaf[e] = node.value;
-        spill = spill || node.feature >= 0;
-      }
-      blk_spill_[t] = spill ? 1 : 0;
+      stack.push_back({nodes_[n].left, d + 1});
+      stack.push_back({nodes_[n].right, d + 1});
     }
+    blk_tree_levels_[t] = levels;
+    const std::size_t inner = (std::size_t{1} << levels) - 1;
+    const std::size_t exits = std::size_t{1} << levels;
+    assign.assign(inner + exits, -1);
+    blk_base_[t] = static_cast<std::int32_t>(blk_thr_.size());
+    blk_exit_base_[t] = static_cast<std::int32_t>(blk_exit_.size());
+    blk_thr_.resize(blk_thr_.size() + inner);
+    blk_feat_.resize(blk_feat_.size() + inner);
+    blk_exit_.resize(blk_exit_.size() + exits);
+    blk_leaf_.resize(blk_leaf_.size() + exits);
+    double* thr = blk_thr_.data() + blk_base_[t];
+    std::int32_t* ft = blk_feat_.data() + blk_base_[t];
+    std::int32_t* ex = blk_exit_.data() + blk_exit_base_[t];
+    double* leaf = blk_leaf_.data() + blk_exit_base_[t];
+    assign[0] = tree_roots_[t];
+    for (std::size_t s = 0; s < inner; ++s) {
+      const std::int32_t n = assign[s];
+      const FlatTreeNode& node = nodes_[n];
+      if (node.feature >= 0) {
+        ft[s] = node.feature;
+        thr[s] = node.threshold;
+        assign[2 * s + 1] = node.left;
+        assign[2 * s + 2] = node.right;
+      } else {
+        // Pass-through slot for a leaf shallower than the block: both
+        // children route to the same leaf, so the predicated step can
+        // take either branch (even on a NaN feature) and still land
+        // on the node the legacy walk stops at.
+        ft[s] = 0;
+        thr[s] = std::numeric_limits<double>::infinity();
+        assign[2 * s + 1] = n;
+        assign[2 * s + 2] = n;
+      }
+    }
+    bool spill = false;
+    for (std::size_t e = 0; e < exits; ++e) {
+      ex[e] = assign[inner + e];
+      const FlatTreeNode& node = nodes_[ex[e]];
+      // Spill-free exits carry the leaf value inline, so the hot
+      // walk finishes with one load instead of a node-pool visit.
+      leaf[e] = node.value;
+      spill = spill || node.feature >= 0;
+    }
+    blk_spill_[t] = spill ? 1 : 0;
   }
-  build_rank_tables();
 }
 
-void FlatBank::build_rank_tables() {
-  rank_tables_.assign(models_.size(), RankTable{});
-  rank_thr_.clear();
-  cell_val_.clear();
-  std::vector<std::vector<double>> per_feat(kMaxRankFeatures);
-  std::vector<std::int32_t> node_rank;
-  std::vector<std::int32_t> ranks;
-  for (std::size_t mi = 0; mi < models_.size(); ++mi) {
-    const FlatModel& m = models_[mi];
-    if (m.kind != FlatKind::kTreeEnsemble) continue;
-    // The model's nodes are one contiguous pool range (lower_trees
-    // appends tree after tree), bounded by the next tree root.
-    const int node_begin = tree_roots_[m.tree_begin];
-    const int node_end =
-        static_cast<std::size_t>(m.tree_end) < tree_roots_.size()
-            ? tree_roots_[m.tree_end]
-            : static_cast<int>(nodes_.size());
-    // Distinct thresholds per feature, sorted; bail out on any shape
-    // the table cannot represent exactly (the blocked walk serves it).
-    RankTable& rt = rank_tables_[mi];
-    for (auto& v : per_feat) v.clear();
-    bool representable = true;
-    int dim = 0;
-    for (int n = node_begin; n < node_end && representable; ++n) {
-      const FlatTreeNode& node = nodes_[n];
-      if (node.feature < 0) continue;
-      if (node.feature >= kMaxRankFeatures ||
-          std::isnan(node.threshold)) {
-        representable = false;
-        break;
-      }
-      dim = std::max(dim, node.feature + 1);
-      // mpicp-lint: allow(no-alloc-in-loop) cold lowering path; the
-      // per-feature split is unknowable before this very scan.
-      per_feat[node.feature].push_back(node.threshold);
+void FlatBank::lower_rank_table(const FlatModel& m, RankTable& rt) {
+  // The model's nodes are one contiguous pool range (lower_trees
+  // appends tree after tree), bounded by the next tree root.
+  const int node_begin = tree_roots_[m.tree_begin];
+  const int node_end =
+      static_cast<std::size_t>(m.tree_end) < tree_roots_.size()
+          ? tree_roots_[m.tree_end]
+          : static_cast<int>(nodes_.size());
+  // Distinct thresholds per feature, sorted; bail out on any shape
+  // the table cannot represent exactly (the blocked walk serves it).
+  std::array<std::vector<double>, kMaxRankFeatures> per_feat;
+  int dim = 0;
+  for (int n = node_begin; n < node_end; ++n) {
+    const FlatTreeNode& node = nodes_[n];
+    if (node.feature < 0) continue;
+    if (node.feature >= kMaxRankFeatures || std::isnan(node.threshold)) {
+      return;
     }
-    if (!representable) continue;
-    std::size_t cells = 1;
-    for (int f = 0; f < dim; ++f) {
-      auto& v = per_feat[f];
-      std::sort(v.begin(), v.end());
-      v.erase(std::unique(v.begin(), v.end()), v.end());
-      cells *= v.size() + 1;
-      if (cells > kMaxRankCells) {
-        representable = false;
-        break;
-      }
-    }
-    if (!representable) continue;
-    rt.dim = dim;
-    std::size_t stride = 1;
-    for (int f = 0; f < dim; ++f) {
-      rt.thr_begin[f] = static_cast<std::int32_t>(rank_thr_.size());
-      rt.thr_len[f] = static_cast<std::int32_t>(per_feat[f].size());
-      rt.stride[f] = static_cast<std::int32_t>(stride);
-      stride *= per_feat[f].size() + 1;
-      rank_thr_.insert(rank_thr_.end(), per_feat[f].begin(),
-                       per_feat[f].end());
-    }
-    // Per-node threshold rank (index of its threshold in the feature's
-    // sorted strip), so the cell walks below are pure integer compares.
-    node_rank.assign(static_cast<std::size_t>(node_end - node_begin), -1);
-    for (int n = node_begin; n < node_end; ++n) {
-      const FlatTreeNode& node = nodes_[n];
-      if (node.feature < 0) continue;
-      const auto& v = per_feat[node.feature];
-      node_rank[n - node_begin] = static_cast<std::int32_t>(
-          std::lower_bound(v.begin(), v.end(), node.threshold) - v.begin());
-    }
-    // Enumerate cells in stride order. A cell's rank vector fixes the
-    // outcome of every comparison (`x < T[j]` iff `rank(x) <= j`), so
-    // walking each tree with those outcomes — in canonical tree order,
-    // with the same accumulation and link transform as the legacy walk
-    // — yields the exact double every instance in the cell would get.
-    rt.cells_begin = static_cast<std::int64_t>(cell_val_.size());
-    cell_val_.reserve(cell_val_.size() + cells);
-    ranks.assign(static_cast<std::size_t>(std::max(dim, 1)), 0);
-    const double num_trees = static_cast<double>(m.tree_end - m.tree_begin);
-    for (std::size_t c = 0; c < cells; ++c) {
-      double raw = m.base_score;
-      for (int t = m.tree_begin; t < m.tree_end; ++t) {
-        int cur = tree_roots_[t];
-        while (nodes_[cur].feature >= 0) {
-          cur = ranks[nodes_[cur].feature] <= node_rank[cur - node_begin]
-                    ? nodes_[cur].left
-                    : nodes_[cur].right;
-        }
-        raw += nodes_[cur].value;
-      }
-      if (m.mean_over_trees) raw /= num_trees;
-      cell_val_.push_back(m.exp_link ? std::exp(raw) : raw);
-      for (int f = 0; f < dim; ++f) {
-        if (++ranks[f] <= rt.thr_len[f]) break;
-        ranks[f] = 0;
-      }
-    }
-    rt.built = true;
+    dim = std::max(dim, node.feature + 1);
+    // mpicp-lint: allow(no-alloc-in-loop) cold lowering path; the
+    // per-feature split is unknowable before this very scan.
+    per_feat[node.feature].push_back(node.threshold);
   }
+  std::size_t cells = 1;
+  for (int f = 0; f < dim; ++f) {
+    auto& v = per_feat[f];
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+    cells *= v.size() + 1;
+    if (cells > kMaxRankCells) return;
+  }
+  rt.dim = dim;
+  std::size_t stride = 1;
+  for (int f = 0; f < dim; ++f) {
+    rt.thr_begin[f] = static_cast<std::int32_t>(rank_thr_.size());
+    rt.thr_len[f] = static_cast<std::int32_t>(per_feat[f].size());
+    rt.stride[f] = static_cast<std::int32_t>(stride);
+    stride *= per_feat[f].size() + 1;
+    rank_thr_.insert(rank_thr_.end(), per_feat[f].begin(),
+                     per_feat[f].end());
+  }
+  // Per-node threshold rank (index of its threshold in the feature's
+  // sorted strip), so the cell walks below are pure integer compares.
+  std::vector<std::int32_t> node_rank(
+      static_cast<std::size_t>(node_end - node_begin), -1);
+  for (int n = node_begin; n < node_end; ++n) {
+    const FlatTreeNode& node = nodes_[n];
+    if (node.feature < 0) continue;
+    const auto& v = per_feat[node.feature];
+    node_rank[n - node_begin] = static_cast<std::int32_t>(
+        std::lower_bound(v.begin(), v.end(), node.threshold) - v.begin());
+  }
+  // Enumerate cells in stride order. A cell's rank vector fixes the
+  // outcome of every comparison (`x < T[j]` iff `rank(x) <= j`), so
+  // walking each tree with those outcomes — in canonical tree order,
+  // with the same accumulation and link transform as the legacy walk
+  // — yields the exact double every instance in the cell would get.
+  // resize() grows the pool geometrically, so lowering a bank model
+  // by model copies it O(1) times amortised.
+  rt.cells_begin = static_cast<std::int64_t>(cell_val_.size());
+  cell_val_.resize(cell_val_.size() + cells);
+  double* out = cell_val_.data() + rt.cells_begin;
+  std::array<std::int32_t, kMaxRankFeatures> ranks{};
+  const double num_trees = static_cast<double>(m.tree_end - m.tree_begin);
+  for (std::size_t c = 0; c < cells; ++c) {
+    double raw = m.base_score;
+    for (int t = m.tree_begin; t < m.tree_end; ++t) {
+      int cur = tree_roots_[t];
+      while (nodes_[cur].feature >= 0) {
+        cur = ranks[nodes_[cur].feature] <= node_rank[cur - node_begin]
+                  ? nodes_[cur].left
+                  : nodes_[cur].right;
+      }
+      raw += nodes_[cur].value;
+    }
+    if (m.mean_over_trees) raw /= num_trees;
+    out[c] = m.exp_link ? std::exp(raw) : raw;
+    for (int f = 0; f < dim; ++f) {
+      if (++ranks[f] <= rt.thr_len[f]) break;
+      ranks[f] = 0;
+    }
+  }
+  rt.built = true;
+}
+
+std::int64_t FlatBank::rank_cell(const RankTable& rt, const double* x) const {
+  std::int64_t idx = 0;
+  for (int f = 0; f < rt.dim; ++f) {
+    const double* T = rank_thr_.data() + rt.thr_begin[f];
+    const std::int32_t len = rt.thr_len[f];
+    const double v = x[f];
+    // rank = #{T <= v}; a NaN feature ranks past every threshold so
+    // every comparison takes the legacy `!(x < thr)` branch.
+    const std::int32_t r =
+        v != v ? len
+               : static_cast<std::int32_t>(std::upper_bound(T, T + len, v) -
+                                           T);
+    idx += static_cast<std::int64_t>(r) * rt.stride[f];
+  }
+  return idx;
 }
 
 void FlatBank::lower_trees(const std::vector<RegressionTree>& trees,
                            FlatModel& m) {
+  // Size both pools once per model. resize() grows them geometrically,
+  // so compiling a bank copies each pool O(1) times amortised; an exact
+  // reserve(size() + k) per tree would copy the whole pool per tree.
+  std::size_t total = 0;
+  for (const RegressionTree& tree : trees) total += tree.nodes().size();
   m.tree_begin = static_cast<int>(tree_roots_.size());
-  tree_roots_.reserve(tree_roots_.size() + trees.size());
-  for (const RegressionTree& tree : trees) {
-    const int base = static_cast<int>(nodes_.size());
-    tree_roots_.push_back(base);
-    const auto& src = tree.nodes();
-    nodes_.reserve(nodes_.size() + src.size());
-    for (const RegressionTree::Node& n : src) {
-      FlatTreeNode fn;
+  tree_roots_.resize(tree_roots_.size() + trees.size());
+  std::size_t out = nodes_.size();
+  nodes_.resize(out + total);
+  for (std::size_t t = 0; t < trees.size(); ++t) {
+    const int base = static_cast<int>(out);
+    tree_roots_[static_cast<std::size_t>(m.tree_begin) + t] = base;
+    for (const RegressionTree::Node& n : trees[t].nodes()) {
+      FlatTreeNode& fn = nodes_[out++];
       fn.feature = n.feature;
       fn.threshold = n.threshold;
       fn.left = n.left >= 0 ? n.left + base : -1;
       fn.right = n.right >= 0 ? n.right + base : -1;
       fn.value = n.value;
-      nodes_.push_back(fn);
     }
   }
   m.tree_end = static_cast<int>(tree_roots_.size());
@@ -318,10 +325,13 @@ void FlatBank::lower_knn(const KnnRegressor& knn, FlatModel& m) {
   m.num_points = static_cast<int>(pts.rows());
   m.point_dim = static_cast<int>(pts.cols());
   m.points_begin = static_cast<int>(points_.size());
-  points_.reserve(points_.size() + pts.rows() * pts.cols());
+  // Pools grow by resize()/insert(), which are geometric: an exact
+  // reserve(size() + k) per model would copy each pool once per model.
+  points_.resize(points_.size() + pts.rows() * pts.cols());
+  double* dst = points_.data() + m.points_begin;
   for (std::size_t i = 0; i < pts.rows(); ++i) {
     const auto row = pts.row(i);
-    points_.insert(points_.end(), row.begin(), row.end());
+    dst = std::copy(row.begin(), row.end(), dst);
   }
   m.targets_begin = static_cast<int>(targets_.size());
   targets_.insert(targets_.end(), knn.targets().begin(),
@@ -330,16 +340,16 @@ void FlatBank::lower_knn(const KnnRegressor& knn, FlatModel& m) {
   order_.insert(order_.end(), knn.order().begin(), knn.order().end());
   if (knn.params().use_kdtree && !knn.kd().empty()) {
     const int kd_base = static_cast<int>(kd_.size());
-    kd_.reserve(kd_.size() + knn.kd().size());
+    kd_.resize(kd_.size() + knn.kd().size());
+    FlatKdNode* fn = kd_.data() + kd_base;
     for (const KnnRegressor::KdNode& n : knn.kd()) {
-      FlatKdNode fn;
-      fn.axis = n.axis;
-      fn.split = n.split;
-      fn.left = n.left >= 0 ? n.left + kd_base : -1;
-      fn.right = n.right >= 0 ? n.right + kd_base : -1;
-      fn.begin = n.begin;
-      fn.end = n.end;
-      kd_.push_back(fn);
+      fn->axis = n.axis;
+      fn->split = n.split;
+      fn->left = n.left >= 0 ? n.left + kd_base : -1;
+      fn->right = n.right >= 0 ? n.right + kd_base : -1;
+      fn->begin = n.begin;
+      fn->end = n.end;
+      ++fn;
     }
     m.kd_root = kd_base;
   } else {
@@ -387,10 +397,11 @@ void FlatBank::lower_gam(const GamRegressor& gam, FlatModel& m) {
   m.num_bases = static_cast<int>(gam.bases().size());
   m.basis_size = gam.params().basis_per_feature;
   m.slot_begin = static_cast<int>(gam_slots_.size());
-  gam_slots_.reserve(gam_slots_.size() + gam.bases().size());
+  gam_slots_.resize(gam_slots_.size() + gam.bases().size());
   for (std::size_t f = 0; f < gam.bases().size(); ++f) {
     const int bid = intern_basis(gam.bases()[f]);
-    gam_slots_.push_back(intern_slot(bid, static_cast<int>(f)));
+    gam_slots_[static_cast<std::size_t>(m.slot_begin) + f] =
+        intern_slot(bid, static_cast<int>(f));
   }
   m.coef_begin = static_cast<int>(coef_.size());
   m.coef_len = static_cast<int>(gam.beta().size());
@@ -443,6 +454,11 @@ double FlatBank::predict_one(std::size_t i, std::span<const double> x,
   const FlatModel& m = models_[i];
   switch (m.kind) {
     case FlatKind::kTreeEnsemble: {
+      // Rank-cell table: a few small binary searches and one load.
+      const RankTable& rt = rank_tables_[i];
+      if (rt.built) {
+        return cell_val_[rt.cells_begin + rank_cell(rt, x.data())];
+      }
       // Blocked branch-free walk: predicated index steps through each
       // tree's packed prefix. Spill-free trees (the common case)
       // finish with one inline leaf-value load; only spilling exits
@@ -576,21 +592,7 @@ void FlatBank::predict_tree_batch(std::size_t i, const double* xs,
     // small binary searches plus one load per instance.
     const double* cells = cell_val_.data() + rt.cells_begin;
     for (std::size_t b = 0; b < count; ++b) {
-      const double* x = xs + b * x_stride;
-      std::int64_t idx = 0;
-      for (int f = 0; f < rt.dim; ++f) {
-        const double* T = rank_thr_.data() + rt.thr_begin[f];
-        const std::int32_t len = rt.thr_len[f];
-        const double v = x[f];
-        // rank = #{T <= v}; a NaN feature ranks past every threshold
-        // so every comparison takes the legacy `!(x < thr)` branch.
-        const std::int32_t r =
-            v != v ? len
-                   : static_cast<std::int32_t>(
-                         std::upper_bound(T, T + len, v) - T);
-        idx += static_cast<std::int64_t>(r) * rt.stride[f];
-      }
-      out[b * out_stride] = cells[idx];
+      out[b * out_stride] = cells[rank_cell(rt, xs + b * x_stride)];
     }
     return;
   }
@@ -802,7 +804,18 @@ void FlatBank::load(std::istream& is) {
     max_point_dim_ = std::max(max_point_dim_, m.point_dim);
     max_k_ = std::max(max_k_, m.k);
   }
-  build_blocked();
+  blk_tree_levels_.clear();
+  blk_spill_.clear();
+  blk_base_.clear();
+  blk_exit_base_.clear();
+  blk_thr_.clear();
+  blk_feat_.clear();
+  blk_exit_.clear();
+  blk_leaf_.clear();
+  rank_tables_.clear();
+  rank_thr_.clear();
+  cell_val_.clear();
+  for (std::size_t mi = 0; mi < models_.size(); ++mi) lower_derived(mi);
 }
 
 }  // namespace mpicp::ml

@@ -27,10 +27,11 @@
 // of a whole batch pipeline and auto-vectorize. On top of the block,
 // models whose distinct-threshold structure is small enough carry a
 // *rank-cell table*: the exact prediction precomputed for every cell
-// of the model's threshold-rank grid, collapsing batched dispatch to a
-// few small binary searches plus one load per model. Both forms are
-// derived data — rebuilt from the canonical pools on add() and load()
-// — and reproduce the legacy traversal bit for bit.
+// of the model's threshold-rank grid, collapsing single and batched
+// dispatch to a few small binary searches plus one load per model. Both forms are
+// derived data: add() lowers only the new model's block and table and
+// appends them, load() lowers every model once, so compiling a bank is
+// linear in its size. Both reproduce the legacy traversal bit for bit.
 #pragma once
 
 #include <array>
@@ -149,7 +150,8 @@ class FlatBank {
 
   /// Predict with model `i` on the feature vector `x`. Bit-identical to
   /// the interpreted regressor's predict_one. Allocation-free once
-  /// `scratch` has warmed up. Tree ensembles go through the blocked
+  /// `scratch` has warmed up. Tree ensembles answer from their
+  /// rank-cell table when they have one, else through the blocked
   /// branch-free layout; everything else is the PR 5 path.
   double predict_one(std::size_t i, std::span<const double> x,
                      FlatScratch& scratch) const;
@@ -189,11 +191,12 @@ class FlatBank {
 
  private:
   void lower_trees(const std::vector<RegressionTree>& trees, FlatModel& m);
-  /// Rebuild the derived blocked layout for every tree ensemble from
-  /// the canonical node pool (add() and load() both end here).
-  void build_blocked();
-  /// Rebuild the derived rank-cell tables (called by build_blocked).
-  void build_rank_tables();
+  /// Lower model `mi`'s derived forms from the canonical pools and
+  /// append them; every model before `mi` must already be lowered.
+  /// add() calls it for the new model, load() for each model in order.
+  void lower_derived(std::size_t mi);
+  /// Append the blocked prefixes of one tree ensemble's trees.
+  void lower_blocked(const FlatModel& m);
   void lower_knn(const KnnRegressor& knn, FlatModel& m);
   void lower_gam(const GamRegressor& gam, FlatModel& m);
   int intern_basis(const BSplineBasis& basis);
@@ -247,12 +250,12 @@ class FlatBank {
   // a tree-ensemble model tests x[f] against one of the model's few
   // distinct thresholds, so the instance's per-feature threshold ranks
   // fix the outcome of every comparison — and the model's whole
-  // prediction is constant on each rank cell. build_blocked()
+  // prediction is constant on each rank cell. lower_rank_table()
   // enumerates the cells and stores the exact prediction (computed by
-  // the canonical tree-order walk), turning batched dispatch into a
-  // handful of small binary searches plus one load. Models whose cell
-  // count exceeds kMaxRankCells (continuous features) skip the table
-  // and serve through the blocked walk.
+  // the canonical tree-order walk), turning single and batched
+  // dispatch into a handful of small binary searches plus one load.
+  // Models whose cell count exceeds kMaxRankCells (continuous features)
+  // skip the table and serve through the blocked walk.
   static constexpr int kMaxRankFeatures = 8;
   static constexpr std::size_t kMaxRankCells = std::size_t{1} << 14;
   struct RankTable {
@@ -263,6 +266,11 @@ class FlatBank {
     std::array<std::int32_t, kMaxRankFeatures> stride{};
     std::int64_t cells_begin = 0;
   };
+  /// Fill `rt` and append its cells, unless the model's threshold
+  /// structure cannot be tabled (then `rt.built` stays false).
+  void lower_rank_table(const FlatModel& m, RankTable& rt);
+  /// Cell index of the feature vector `x` in `rt`'s rank grid.
+  std::int64_t rank_cell(const RankTable& rt, const double* x) const;
   std::vector<RankTable> rank_tables_;  ///< per model
   support::AlignedVec<double> rank_thr_;  ///< sorted distinct thresholds
   support::AlignedVec<double> cell_val_;  ///< final per-cell predictions

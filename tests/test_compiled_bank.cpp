@@ -5,12 +5,26 @@
 // memoized cache and a save/load round trip of its own.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
+#include <memory>
+#include <span>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "collbench/dataset.hpp"
+#include "ml/flatten.hpp"
+#include "ml/forest.hpp"
+#include "ml/gam.hpp"
+#include "ml/gbt.hpp"
+#include "ml/io.hpp"
+#include "ml/matrix.hpp"
 #include "support/faultinject.hpp"
 #include "support/metrics.hpp"
 #include "support/parallel.hpp"
@@ -312,6 +326,255 @@ TEST(CompiledBank, SaveLoadRoundTripIsExact) {
         EXPECT_EQ(before[i].time_us, after[i].time_us)
             << learner << " uid " << before[i].uid;
         EXPECT_EQ(before[i].usable, after[i].usable);
+      }
+    }
+  }
+}
+
+// ---- incremental lowering of a mixed flat bank ---------------------------
+
+// Feature layout of the flat-bank probes: (log2 m, nodes, ppn) on a grid
+// and seven uniform noise columns. A model that splits on column 9 (past
+// the rank-cell table's eight features) serves through the blocked walk;
+// the fitted models here all get tables, so hand-built ensembles below
+// cover the blocked walk.
+constexpr std::size_t kFlatDim = 10;
+
+ml::Matrix flat_grid_features(std::uint64_t seed) {
+  support::Xoshiro256 rng(seed);
+  const std::vector<int> nodes = {2, 4, 8, 16};
+  const std::vector<int> ppns = {1, 2, 4};
+  ml::Matrix x(nodes.size() * ppns.size() * 8, kFlatDim);
+  std::size_t r = 0;
+  for (const int n : nodes) {
+    for (const int ppn : ppns) {
+      for (int e = 0; e < 22; e += 3) {
+        const auto row = x.row(r++);
+        row[0] = e;
+        row[1] = n;
+        row[2] = ppn;
+        for (std::size_t f = 3; f < kFlatDim; ++f) row[f] = rng.uniform();
+      }
+    }
+  }
+  return x;
+}
+
+/// Positive synthetic runtimes; `k` varies the cost model per model, and
+/// `use_noise` makes column 9 matter.
+std::vector<double> flat_targets(const ml::Matrix& x, int k, bool use_noise) {
+  std::vector<double> y(x.rows());
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    const auto row = x.row(i);
+    const double p = row[1] * row[2];
+    y[i] = (1.0 + (1.0 + 0.3 * k) * std::log2(p + 1) +
+            (0.01 + 0.002 * k) * std::exp2(row[0]) / p) *
+           (use_noise ? 1.0 + 4.0 * row[9] : 1.0);
+  }
+  return y;
+}
+
+/// Probe vectors: every training row, off-grid sizes and allocations,
+/// NaN / infinite values in each feature, and an all-NaN vector.
+std::vector<std::vector<double>> flat_probes(const ml::Matrix& train) {
+  std::vector<std::vector<double>> out;
+  for (std::size_t i = 0; i < train.rows(); ++i) {
+    out.emplace_back(train.row(i).begin(), train.row(i).end());
+  }
+  support::Xoshiro256 rng(77);
+  for (int i = 0; i < 32; ++i) {
+    std::vector<double> v(kFlatDim);
+    v[0] = rng.uniform(-2.0, 25.0);  // off-grid log2 sizes
+    v[1] = 1.0 + static_cast<double>(rng.uniform_int(40));
+    v[2] = 1.0 + static_cast<double>(rng.uniform_int(8));
+    for (std::size_t f = 3; f < kFlatDim; ++f) v[f] = rng.uniform();
+    out.push_back(v);
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (std::size_t f = 0; f < kFlatDim; ++f) {
+    for (const double bad : {nan, inf, -inf}) {
+      std::vector<double> v(train.row(5).begin(), train.row(5).end());
+      v[f] = bad;
+      out.push_back(v);
+    }
+  }
+  std::vector<double> all_nan(kFlatDim, nan);
+  out.push_back(all_nan);
+  return out;
+}
+
+/// Appends one random tree in preorder (the RegressionTree layout):
+/// splits on features [0, max_feature) at one of `thresholds` evenly
+/// spaced values across the feature's range, leaves appearing from
+/// depth 2 on.
+void random_tree_nodes(support::Xoshiro256& rng, int depth, int max_depth,
+                       int max_feature, int thresholds,
+                       std::vector<std::array<double, 6>>& nodes) {
+  const std::size_t self = nodes.size();
+  nodes.push_back({-1, 0.0, -1, -1, rng.uniform(-1.0, 1.0), 0.0});
+  if (depth >= max_depth || (depth >= 2 && rng.uniform() < 0.15)) return;
+  const auto f = rng.uniform_int(max_feature);
+  const double scale = f < 3 ? 24.0 : 1.0;  // grid columns span ~0..24
+  nodes[self][0] = static_cast<double>(f);
+  nodes[self][1] =
+      scale * static_cast<double>(rng.uniform_int(thresholds)) / thresholds;
+  nodes[self][2] = static_cast<double>(nodes.size());
+  random_tree_nodes(rng, depth + 1, max_depth, max_feature, thresholds,
+                    nodes);
+  nodes[self][3] = static_cast<double>(nodes.size());
+  random_tree_nodes(rng, depth + 1, max_depth, max_feature, thresholds,
+                    nodes);
+}
+
+/// A squared-loss GBT with hand-built random trees, loaded through its
+/// text format. Fitted ensembles on grid data always get a rank-cell
+/// table; these do not (a feature past the table's eight, or too many
+/// cells), so the blocked walk is exercised on its own, both on trees
+/// that fit the block and on trees that spill into the node pool.
+std::unique_ptr<ml::Regressor> random_deep_gbt(std::uint64_t seed,
+                                               int max_feature,
+                                               int thresholds) {
+  support::Xoshiro256 rng(seed);
+  std::stringstream text;
+  ml::io::write_tag(text, "gbt");
+  ml::io::write_value(text, static_cast<int>(ml::GbtObjective::kSquared));
+  ml::io::write_value(text, 1.5);
+  ml::io::write_value(text, static_cast<int>(kFlatDim));
+  ml::io::write_value(text, 0.25);
+  constexpr std::size_t kTrees = 6;
+  ml::io::write_value(text, kTrees);
+  std::vector<std::array<double, 6>> nodes;
+  for (std::size_t t = 0; t < kTrees; ++t) {
+    nodes.clear();
+    // Odd trees fit inside the block; even ones spill past it.
+    random_tree_nodes(rng, 0, t % 2 == 1 ? 6 : 11, max_feature,
+                      thresholds, nodes);
+    ml::io::write_tag(text, "tree");
+    ml::io::write_value(text, nodes.size());
+    for (const auto& n : nodes) {
+      ml::io::write_value(text, static_cast<int>(n[0]));
+      ml::io::write_value(text, n[1]);
+      ml::io::write_value(text, static_cast<int>(n[2]));
+      ml::io::write_value(text, static_cast<int>(n[3]));
+      ml::io::write_value(text, n[4]);
+      ml::io::write_value(text, n[5]);
+    }
+  }
+  auto gbt = std::make_unique<ml::GradientBoostedTrees>();
+  gbt->load(text);
+  return gbt;
+}
+
+TEST(FlatBank, IncrementalAddMatchesWholeLoadAndOneModelBanks) {
+  const ml::Matrix x = flat_grid_features(3);
+  std::vector<std::unique_ptr<ml::Regressor>> models;
+  for (int k = 0; k < 10; ++k) {
+    ml::GbtParams params;
+    params.rounds = 40;
+    if (k % 3 == 0) params.objective = ml::GbtObjective::kSquared;
+    auto gbt = std::make_unique<ml::GradientBoostedTrees>(params);
+    gbt->fit(x, flat_targets(x, k, k == 7));
+    models.push_back(std::move(gbt));
+    if (k % 3 == 1) {  // interleave GAMs between the tree ensembles
+      auto gam = std::make_unique<ml::GamRegressor>();
+      ml::Matrix grid_only(x.rows(), 3);
+      for (std::size_t r = 0; r < x.rows(); ++r) {
+        for (std::size_t f = 0; f < 3; ++f) grid_only.row(r)[f] = x.row(r)[f];
+      }
+      gam->fit(grid_only, flat_targets(x, k, false));
+      models.push_back(std::move(gam));
+    }
+  }
+  for (int k = 0; k < 3; ++k) {
+    ml::ForestParams params;
+    params.num_trees = 12;
+    params.max_depth = 4 + 4 * k;  // deep trees spill past the block
+    params.seed = 100 + k;
+    auto rf = std::make_unique<ml::RandomForest>(params);
+    rf->fit(x, flat_targets(x, 20 + k, k == 1));
+    models.push_back(std::move(rf));
+  }
+
+  // Untabled ensembles between the tabled ones: one splits on column 9,
+  // one has more threshold-rank cells than a table holds.
+  models.insert(models.begin() + 4, random_deep_gbt(5, kFlatDim, 64));
+  models.insert(models.begin() + 9, random_deep_gbt(6, 3, 4096));
+
+  ml::FlatBank bank;
+  for (const auto& model : models) (void)bank.add(*model);
+  ASSERT_EQ(bank.size(), models.size());
+
+  // save() -> load() lowers the whole bank at once; the saved bytes
+  // survive the round trip unchanged.
+  std::stringstream saved;
+  bank.save(saved);
+  ml::FlatBank loaded;
+  loaded.load(saved);
+  std::stringstream resaved;
+  loaded.save(resaved);
+  EXPECT_EQ(saved.str(), resaved.str());
+
+  const auto probes = flat_probes(x);
+  ml::FlatScratch s1;
+  ml::FlatScratch s2;
+  ml::FlatScratch s3;
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    ml::FlatBank single;
+    (void)single.add(*models[i]);
+    for (std::size_t p = 0; p < probes.size(); ++p) {
+      const std::span<const double> v(probes[p]);
+      bank.begin_query(s1);
+      loaded.begin_query(s2);
+      single.begin_query(s3);
+      const double got = bank.predict_one(i, v, s1);
+      // The interpreted GAM reads one smoother per entry of its input.
+      const std::span<const double> own =
+          models[i]->name() == "gam" ? v.first(3) : v;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(models[i]->predict_one(own)))
+          << "model " << i << " probe " << p;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(loaded.predict_one(i, v, s2)))
+          << "model " << i << " probe " << p;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(single.predict_one(0, v, s3)))
+          << "model " << i << " probe " << p;
+      const double legacy = bank.predict_one_legacy(i, v, s1);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(legacy))
+          << "model " << i << " probe " << p;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(legacy),
+                std::bit_cast<std::uint64_t>(
+                    loaded.predict_one_legacy(i, v, s2)))
+          << "model " << i << " probe " << p;
+    }
+    if (!bank.is_tree_ensemble(i)) continue;
+    ASSERT_TRUE(loaded.is_tree_ensemble(i));
+    // Batched scoring, in kTreeBatch-wide slices of a packed matrix.
+    std::vector<double> packed;
+    for (const auto& v : probes) {
+      packed.insert(packed.end(), v.begin(), v.end());
+    }
+    for (std::size_t b0 = 0; b0 < probes.size();
+         b0 += ml::FlatBank::kTreeBatch) {
+      const std::size_t count =
+          std::min(ml::FlatBank::kTreeBatch, probes.size() - b0);
+      double out_add[ml::FlatBank::kTreeBatch];
+      double out_load[ml::FlatBank::kTreeBatch];
+      bank.predict_tree_batch(i, packed.data() + b0 * kFlatDim, kFlatDim,
+                              count, out_add, 1);
+      loaded.predict_tree_batch(i, packed.data() + b0 * kFlatDim, kFlatDim,
+                                count, out_load, 1);
+      for (std::size_t b = 0; b < count; ++b) {
+        bank.begin_query(s1);
+        const double one = bank.predict_one(i, probes[b0 + b], s1);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(out_add[b]),
+                  std::bit_cast<std::uint64_t>(one))
+            << "model " << i << " probe " << b0 + b;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(out_add[b]),
+                  std::bit_cast<std::uint64_t>(out_load[b]))
+            << "model " << i << " probe " << b0 + b;
       }
     }
   }

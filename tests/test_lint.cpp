@@ -115,7 +115,9 @@ TEST(Lint, DirtyFixtureTreeReportsExactDiagnostics) {
 TEST(Lint, AllocFixtureTreeReportsExactDiagnostics) {
   // R9 fires only under src/ml and src/tune; reserved receivers,
   // capacity-reusing assign(), default construction, unresolvable
-  // receivers and inline allow() all stay silent.
+  // receivers, inline allow() and a reserve(size() + total) hoisted
+  // before its loop all stay silent, while an exact-growth reserve
+  // inside a loop (`.` or `->`, either operand order) is flagged.
   const LintRun run = run_lint("--root " + fixture_root("alloc"));
   EXPECT_EQ(run.exit_code, 1);
 
@@ -126,6 +128,10 @@ TEST(Lint, AllocFixtureTreeReportsExactDiagnostics) {
       {"src/ml/bad_alloc.cpp", 12, "no-alloc-in-loop"},
       {"src/ml/bad_alloc.cpp", 15, "no-alloc-in-loop"},
       {"src/ml/bad_alloc.cpp", 18, "no-alloc-in-loop"},
+      {"src/ml/bad_reserve.cpp", 13, "no-alloc-in-loop"},
+      {"src/ml/bad_reserve.cpp", 15, "no-alloc-in-loop"},
+      {"src/ml/bad_reserve.cpp", 16, "no-alloc-in-loop"},
+      {"src/ml/bad_reserve.cpp", 19, "no-alloc-in-loop"},
   };
   std::vector<Finding> got = parse_findings(run.output);
   std::sort(got.begin(), got.end());

@@ -613,8 +613,12 @@ void check_nodiscard(const std::string& rel,
 // the argument range of `parallel_for(...)` — and flags, inside them:
 //   a) `new` / `make_unique` / `make_shared`,
 //   b) `.push_back(` / `.emplace_back(` whose receiver identifier has
-//      no `<ident>.reserve` anywhere in the file, and
-//   c) sized `std::vector<...> name(args...)` constructions.
+//      no `<ident>.reserve` anywhere in the file,
+//   c) sized `std::vector<...> name(args...)` constructions, and
+//   d) exact-growth reserves `x.reserve(x.size() + k)` (or `->`): each
+//      one reallocates and copies the whole container, so inside a
+//      loop they make filling it quadratic — reserve the total once
+//      before the loop instead.
 // Receivers that cannot be resolved to an identifier (ternaries,
 // call-chain results) are skipped rather than guessed at; genuinely
 // unbounded loops justify themselves with allow(no-alloc-in-loop).
@@ -653,6 +657,44 @@ std::string receiver_of(const std::vector<Token>& toks, std::size_t dot) {
   }
   if (toks[i].kind != Token::Kind::kIdent) return "";
   return toks[i].text;
+}
+
+/// True when the argument list opening at `open` contains `recv.size()`
+/// (or `recv->size()`, index groups allowed) next to a `+`.
+bool grows_by_own_size(const std::vector<Token>& toks, std::size_t open,
+                       const std::string& recv) {
+  const std::size_t close = match_forward(toks, open, "(", ")");
+  for (std::size_t i = open + 1; i < close; ++i) {
+    if (toks[i].kind != Token::Kind::kIdent || toks[i].text != recv) continue;
+    std::size_t j = i + 1;
+    while (j < close && toks[j].text == "[") {
+      j = match_forward(toks, j, "[", "]") + 1;
+    }
+    if (j < close && toks[j].text == "-" && j + 1 < close &&
+        toks[j + 1].text == ">") {
+      ++j;
+    } else if (j >= close || toks[j].text != ".") {
+      continue;
+    }
+    if (j + 3 >= close || toks[j + 1].text != "size" ||
+        toks[j + 2].text != "(" || toks[j + 3].text != ")") {
+      continue;
+    }
+    // Walk back over a member chain (`pool->items`, `cfg.rules`).
+    std::size_t k = i;
+    while (k >= open + 3 && toks[k - 2].kind == Token::Kind::kIdent &&
+           toks[k - 1].text == ".") {
+      k -= 2;
+    }
+    while (k >= open + 4 && toks[k - 3].kind == Token::Kind::kIdent &&
+           toks[k - 2].text == "-" && toks[k - 1].text == ">") {
+      k -= 3;
+    }
+    const bool plus_before = toks[k - 1].text == "+";
+    const bool plus_after = j + 4 < close && toks[j + 4].text == "+";
+    if (plus_before || plus_after) return true;
+  }
+  return false;
 }
 
 void check_alloc_in_loop(const std::string& rel,
@@ -751,6 +793,28 @@ void check_alloc_in_loop(const std::string& rel,
                  "' inside a loop without a prior '" + recv +
                  ".reserve' — reserve capacity up front, or justify "
                  "with allow(no-alloc-in-loop)"});
+      }
+      continue;
+    }
+
+    if (tok.text == "reserve" && t >= 1 && t + 1 < toks.size() &&
+        toks[t + 1].text == "(") {
+      std::size_t sep = toks.size();
+      if (toks[t - 1].text == ".") {
+        sep = t - 1;
+      } else if (t >= 2 && toks[t - 1].text == ">" &&
+                 toks[t - 2].text == "-") {
+        sep = t - 2;
+      }
+      if (sep == toks.size()) continue;
+      const std::string recv = receiver_of(toks, sep);
+      if (!recv.empty() && grows_by_own_size(toks, t + 1, recv)) {
+        diags->push_back(
+            {rel, line, kRuleAllocLoop,
+             "'" + recv + ".reserve(" + recv +
+                 ".size() + ...)' inside a loop — an exact-growth reserve "
+                 "reallocates and copies the whole container every "
+                 "iteration; reserve the total once before the loop"});
       }
       continue;
     }
@@ -1750,7 +1814,11 @@ int self_test(const fs::path& root) {
         {"src/ml/bad_alloc.cpp", 11, kRuleAllocLoop},
         {"src/ml/bad_alloc.cpp", 12, kRuleAllocLoop},
         {"src/ml/bad_alloc.cpp", 15, kRuleAllocLoop},
-        {"src/ml/bad_alloc.cpp", 18, kRuleAllocLoop}}},
+        {"src/ml/bad_alloc.cpp", 18, kRuleAllocLoop},
+        {"src/ml/bad_reserve.cpp", 13, kRuleAllocLoop},
+        {"src/ml/bad_reserve.cpp", 15, kRuleAllocLoop},
+        {"src/ml/bad_reserve.cpp", 16, kRuleAllocLoop},
+        {"src/ml/bad_reserve.cpp", 19, kRuleAllocLoop}}},
       {"spans", {{"src/tune/needs_span.cpp", 8, kRuleSpan}}},
       {"iwyu", {{"src/tune/consumer.cpp", 7, kRuleIwyu}}},
       {"suppressed", {}},
